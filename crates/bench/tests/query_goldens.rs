@@ -49,6 +49,10 @@ const QUERIES: &[(&str, &str)] = &[
         "MATCH (a:Info)-[:name]->(n:String = \"info-3\") RETURN a",
     ),
     (
+        "where-eq",
+        "MATCH (a:Info)-[:name]->(n:String) WHERE n = \"info-3\" RETURN a",
+    ),
+    (
         "links",
         "MATCH (a:Info)-[:links-to]->(b:Info) RETURN a, b LIMIT 5",
     ),
@@ -182,4 +186,24 @@ fn the_path_goldens_actually_reach_rows() {
             assert!(rows.is_empty(), "{name} is supposed to have no seed edges");
         }
     }
+}
+
+#[test]
+fn where_eq_probes_first_on_the_10k_store() {
+    // The benchmark's `point` shape on its 10k-Info data set: a value
+    // pinned by WHERE must be answered like an inline print label, with
+    // one printable probe at step 1 instead of a scan of every String.
+    let db = random_instance(&GenConfig {
+        infos: 10_000,
+        avg_links: 2.0,
+        distinct_dates: 16,
+        seed: 1990,
+    });
+    let text = "MATCH (a:Info)-[:name]->(n:String) WHERE n = \"info-42\" RETURN a";
+    let explained = good_query::explain(&db, text)
+        .unwrap_or_else(|err| panic!("explain failed:\n{}", err.render(text)));
+    assert!(
+        explained.contains("  1. bind n [String] via printable probe (String = info-42)  (est. 1,"),
+        "{explained}"
+    );
 }

@@ -9,8 +9,9 @@
 //!
 //! * [`find_matchings`] — the production engine: backtracking search
 //!   over a dense [`Frame`] with dynamic most-constrained-node
-//!   selection. Candidate sets come from the instance's adjacency
-//!   index — `(node label, edge label)` postings for bound neighbours,
+//!   selection. Candidate sets come from the instance's indexes —
+//!   printable-index probes for nodes pinned to values (print, `=`,
+//!   `IN`), `(node label, edge label)` postings for bound neighbours,
 //!   support-set intersections for unanchored nodes — instead of
 //!   whole-label scans. Large searches are split into *morsels* of
 //!   root-node candidates and solved on multiple threads (see
@@ -39,7 +40,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Bound-neighbour images with at most this many incident edges are
 /// scanned directly during candidate derivation instead of probed
 /// through the adjacency index (mirrors `Instance::has_edge`).
-const SCAN_LIMIT: usize = 8;
+pub(crate) const SCAN_LIMIT: usize = 8;
 
 /// A matching: a total mapping from pattern nodes to instance nodes.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -227,6 +228,23 @@ pub(crate) fn node_compatible(instance: &Instance, node: &PatternNode, candidate
     true
 }
 
+/// The instance nodes a pinned pattern node can bind to: one
+/// printable-index probe per value of [`PatternNode::pinned_values`],
+/// in id order. `None` when the node is not pinned to a finite value
+/// set. The probed nodes still have to pass [`node_compatible`].
+pub(crate) fn pinned_candidates(instance: &Instance, node: &PatternNode) -> Option<Vec<NodeId>> {
+    let PatternNodeKind::Class(label) = &node.kind else {
+        return None;
+    };
+    let mut found: Vec<NodeId> = node
+        .pinned_values()?
+        .into_iter()
+        .filter_map(|value| instance.find_printable(label, value))
+        .collect();
+    found.sort_unstable();
+    Some(found)
+}
+
 /// The backtracking core: extend a [`Frame`] to cover all of `nodes`,
 /// invoking `on_match` for each complete assignment. Shared immutably
 /// across worker threads by the parallel driver.
@@ -258,22 +276,20 @@ impl<'a> Search<'a> {
     /// (`SCAN_LIMIT` mirrors `Instance::has_edge`: below it a direct
     /// edge-list scan beats the two label hashes an index probe costs.)
     ///
-    /// Priority: exact printable value (one probe) → smallest postings
-    /// set of an edge to a bound neighbour (exact) → intersection of the
-    /// support sets of all incident edge labels (complete
-    /// over-approximation; exactness is restored by `edges_consistent`
-    /// as neighbours get bound) → whole label extent (isolated nodes).
+    /// Priority: pinned values (print, `=`, `IN`; one printable-index
+    /// probe per value) → smallest postings set of an edge to a bound
+    /// neighbour (exact) → intersection of the support sets of all
+    /// incident edge labels (complete over-approximation; exactness is
+    /// restored by `edges_consistent` as neighbours get bound) → whole
+    /// label extent (isolated nodes).
     fn candidates(&self, pnode: NodeId, frame: &Frame) -> Vec<NodeId> {
         let data = self.pattern.graph().node(pnode).expect("live pattern node");
         let PatternNodeKind::Class(label) = &data.kind else {
             return Vec::new();
         };
-        // Exact printable value: at most one candidate via the index.
-        if let Some(value) = &data.print {
-            return match self.instance.find_printable(label, value) {
-                Some(node) => vec![node],
-                None => Vec::new(),
-            };
+        if let Some(mut pinned) = pinned_candidates(self.instance, data) {
+            pinned.retain(|c| node_compatible(self.instance, data, *c));
+            return pinned;
         }
         // Bound neighbour: candidates are the neighbours of its image
         // along the connecting edge. A low-degree image is scanned
@@ -446,8 +462,8 @@ impl<'a> Search<'a> {
         let PatternNodeKind::Class(label) = &data.kind else {
             return 0;
         };
-        if data.print.is_some() {
-            return 1;
+        if let Some(values) = data.pinned_values() {
+            return values.len();
         }
         let mut best = self.instance.label_count(label);
         for edge in self.pattern.graph().out_edges(pnode) {
@@ -505,14 +521,22 @@ impl<'a> Search<'a> {
         let PatternNodeKind::Class(label) = &data.kind else {
             return "method head (not matchable)".into();
         };
+        if let Some(values) = data.pinned_values() {
+            let values: Vec<String> = values.iter().map(ToString::to_string).collect();
+            return match values.as_slice() {
+                [value] => format!("printable probe ({label} = {value})"),
+                _ => format!(
+                    "printable probe x{} ({label} in {{{}}})",
+                    values.len(),
+                    values.join(", ")
+                ),
+            };
+        }
         let predicate_note = if data.predicate.is_some() {
             " + predicate filter"
         } else {
             ""
         };
-        if let Some(value) = &data.print {
-            return format!("printable probe ({label} = {value})");
-        }
         let mut anchors: Vec<String> = Vec::new();
         let mut unanchored = 0usize;
         for edge in self.pattern.graph().out_edges(pnode) {

@@ -16,12 +16,12 @@
 use crate::error::{GoodError, Result};
 use crate::instance::Instance;
 use crate::label::Label;
-use crate::matching::find_matchings;
+use crate::matching::{find_matchings, SCAN_LIMIT};
 use crate::ops::OpReport;
 use crate::pattern::Pattern;
 use good_graph::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// A node addition operation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -86,24 +86,6 @@ impl NodeAddition {
                 .add_triple(self.label.clone(), edge_label.clone(), target_label)?;
         }
 
-        // Figure 9: "if not exists a K-labeled node n in I′ with
-        // outgoing edges (n, λℓ, i(mℓ)), 1 ≤ ℓ ≤ n, then add such a node".
-        // Index existing K nodes by their λ-target vector. A node whose
-        // λℓ-targets are exactly the required ones satisfies the
-        // condition (extra *other* edges are irrelevant; extra λℓ edges
-        // are impossible because λℓ is functional).
-        let edge_labels: Vec<&Label> = self.edges.iter().map(|(l, _)| l).collect();
-        let mut existing: HashMap<Vec<NodeId>, NodeId> = HashMap::new();
-        for node in db.nodes_with_label(&self.label).collect::<Vec<_>>() {
-            let targets: Option<Vec<NodeId>> = edge_labels
-                .iter()
-                .map(|label| db.functional_target(node, label))
-                .collect();
-            if let Some(key) = targets {
-                existing.entry(key).or_insert(node);
-            }
-        }
-
         let mut report = OpReport {
             matchings: matchings.len(),
             ..OpReport::default()
@@ -111,13 +93,14 @@ impl NodeAddition {
         // Batched application: first precompute the distinct target
         // vectors still missing a K node (matchings are in canonical
         // order, so first-seen order is deterministic), then run one
-        // mutation pass over the pending vectors.
+        // mutation pass over the pending vectors. Each distinct vector
+        // is checked against the original instance once.
         let mut pending: Vec<Vec<NodeId>> = Vec::new();
         let mut claimed: BTreeSet<Vec<NodeId>> = BTreeSet::new();
         let mut dedup_hits = 0u64;
         for matching in &matchings {
             let key: Vec<NodeId> = self.edges.iter().map(|(_, m)| matching.image(*m)).collect();
-            if existing.contains_key(&key) || !claimed.insert(key.clone()) {
+            if !claimed.insert(key.clone()) || self.k_node_exists(db, &key) {
                 dedup_hits += 1;
                 continue;
             }
@@ -135,13 +118,42 @@ impl NodeAddition {
         db.debug_assert_indexes();
         Ok(report)
     }
+
+    /// Figure 9: "if not exists a K-labeled node n in I′ with outgoing
+    /// edges (n, λℓ, i(mℓ)), 1 ≤ ℓ ≤ n, then add such a node". A K node
+    /// whose λℓ-targets are exactly `key` satisfies the condition (extra
+    /// *other* edges are irrelevant; extra λℓ edges are impossible
+    /// because λℓ is functional). The K-labelled λ₁-sources of the first
+    /// target are the only candidates, so they are probed instead of
+    /// walking the whole K extent; with no bold edges any K node will
+    /// do (Figure 12).
+    fn k_node_exists(&self, db: &Instance, key: &[NodeId]) -> bool {
+        let Some(((first_label, _), first_target)) = self.edges.first().zip(key.first()) else {
+            return db.label_count(&self.label) > 0;
+        };
+        let has_rest = |node: NodeId| {
+            self.edges[1..]
+                .iter()
+                .zip(&key[1..])
+                .all(|((label, _), target)| db.functional_target(node, label) == Some(*target))
+        };
+        if db.in_degree(*first_target) <= SCAN_LIMIT {
+            db.sources(*first_target, first_label)
+                .any(|node| db.node_label(node) == Some(&self.label) && has_rest(node))
+        } else {
+            db.indexed_sources(&self.label, first_label, *first_target)
+                .is_some_and(|postings| postings.iter().any(|&node| has_rest(node)))
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::{random_instance, GenConfig};
     use crate::scheme::{Scheme, SchemeBuilder};
     use crate::value::{Value, ValueType};
+    use std::collections::BTreeMap;
 
     fn scheme() -> Scheme {
         SchemeBuilder::new()
@@ -322,6 +334,97 @@ mod tests {
             na.apply(&mut db),
             Err(GoodError::LabelUniverseClash { .. })
         ));
+    }
+
+    /// The existence check the per-key probe replaced: every K node
+    /// keyed by its λ-target vector, built over the whole K extent.
+    fn extent_map(db: &Instance, na: &NodeAddition) -> BTreeMap<Vec<NodeId>, NodeId> {
+        let mut existing = BTreeMap::new();
+        for node in db.nodes_with_label(&na.label) {
+            let targets: Option<Vec<NodeId>> = na
+                .edges
+                .iter()
+                .map(|(label, _)| db.functional_target(node, label))
+                .collect();
+            if let Some(key) = targets {
+                existing.entry(key).or_insert(node);
+            }
+        }
+        existing
+    }
+
+    /// Checks `k_node_exists` against [`extent_map`] on every key the
+    /// matchings produce and on every (date, info) pair, then applies
+    /// and re-applies the addition.
+    fn probe_agrees_with_extent_map(db: &mut Instance, na: &NodeAddition) {
+        let matchings = find_matchings(&na.pattern, db).unwrap();
+        let keys: BTreeSet<Vec<NodeId>> = matchings
+            .iter()
+            .map(|m| na.edges.iter().map(|(_, node)| m.image(*node)).collect())
+            .collect();
+        let existing = extent_map(db, na);
+        let dates: Vec<NodeId> = db.nodes_with_label(&"Date".into()).collect();
+        let infos: Vec<NodeId> = db.nodes_with_label(&"Info".into()).collect();
+        let mut probes: Vec<Vec<NodeId>> = keys.iter().cloned().collect();
+        for &date in &dates {
+            for &info in &infos {
+                probes.push([date, info][..na.edges.len().min(2)].to_vec());
+                probes.push([info, date][..na.edges.len().min(2)].to_vec());
+            }
+        }
+        for key in &probes {
+            if key.len() == na.edges.len() {
+                assert_eq!(
+                    na.k_node_exists(db, key),
+                    existing.contains_key(key),
+                    "key {key:?}"
+                );
+            }
+        }
+        let fresh = keys.iter().filter(|k| !existing.contains_key(*k)).count();
+        let report = na.apply(db).unwrap();
+        // Matchings that share a key share one new node.
+        assert_eq!(report.created_nodes.len(), fresh);
+        db.validate().unwrap();
+        // Idempotence: every key now has its K node.
+        assert!(na.apply(db).unwrap().created_nodes.is_empty());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn existence_probe_agrees_with_full_extent_map(
+            seed in 0u64..1_000_000,
+            infos in 1usize..40,
+            distinct_dates in 1usize..4,
+        ) {
+            let mut db = random_instance(&GenConfig { infos, avg_links: 2.0, distinct_dates, seed });
+            // Pair(day → a's creation date, to → linked info). Dates are
+            // high-degree first targets (index postings path); a first
+            // pass over same-date links leaves some keys pre-existing.
+            let pairs = |same_day: bool| {
+                let mut p = Pattern::new();
+                let a = p.node("Info");
+                let b = p.node("Info");
+                let d = p.node("Date");
+                p.edge(a, "links-to", b);
+                p.edge(a, "created", d);
+                if same_day {
+                    p.edge(b, "created", d);
+                }
+                NodeAddition::new(p, "Pair", [(Label::new("day"), d), (Label::new("to"), b)])
+            };
+            probe_agrees_with_extent_map(&mut db, &pairs(true));
+            probe_agrees_with_extent_map(&mut db, &pairs(false));
+            // Tag(of → linking info): low-degree first targets (edge-list
+            // scan path), several matchings per key.
+            let mut p = Pattern::new();
+            let a = p.node("Info");
+            let b = p.node("Info");
+            p.edge(a, "links-to", b);
+            probe_agrees_with_extent_map(&mut db, &NodeAddition::new(p, "Tag", [(Label::new("of"), a)]));
+            // Figure 12: no bold edges.
+            probe_agrees_with_extent_map(&mut db, &NodeAddition::new(Pattern::new(), "Root", []));
+        }
     }
 
     #[test]

@@ -33,7 +33,9 @@ use std::collections::HashMap;
 /// A predicate over printable constants, attached to a pattern node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ValuePredicate {
-    /// Exactly this value (equivalent to a print label on the node).
+    /// Exactly this value. Equivalent to a print label on the node: the
+    /// matcher answers both with one printable-index probe (see
+    /// [`PatternNode::pinned_values`]).
     Eq(Value),
     /// Anything but this value.
     Ne(Value),
@@ -80,6 +82,33 @@ impl ValuePredicate {
             }
         }
     }
+
+    /// The finite value set this predicate admits, sorted and
+    /// deduplicated, or `None` when it admits infinitely many values.
+    /// `Eq` and `OneOf` pin; an `All` pins to the intersection of its
+    /// pinning members (the other members only filter).
+    fn pinned(&self) -> Option<Vec<&Value>> {
+        match self {
+            ValuePredicate::Eq(value) => Some(vec![value]),
+            ValuePredicate::OneOf(values) => {
+                let mut values: Vec<&Value> = values.iter().collect();
+                values.sort_unstable();
+                values.dedup();
+                Some(values)
+            }
+            ValuePredicate::All(predicates) => predicates
+                .iter()
+                .filter_map(ValuePredicate::pinned)
+                .reduce(intersect),
+            _ => None,
+        }
+    }
+}
+
+/// Intersection of two sorted, deduplicated value lists.
+fn intersect<'v>(mut left: Vec<&'v Value>, right: Vec<&'v Value>) -> Vec<&'v Value> {
+    left.retain(|value| right.binary_search(value).is_ok());
+    left
 }
 
 /// What a pattern node stands for.
@@ -104,6 +133,24 @@ pub struct PatternNode {
     /// Crossed node: its absence (together with the other crossed parts)
     /// is required.
     pub negated: bool,
+}
+
+impl PatternNode {
+    /// The printable-index probe set of this node: the sorted,
+    /// deduplicated values its print label and predicate pin it to, or
+    /// `None` when nothing pins it to a finite set. A print value, `Eq`,
+    /// `OneOf` and an `All` containing one of them pin; print value and
+    /// predicate intersect. Every matcher access path probes
+    /// `Instance::find_printable` once per value instead of scanning;
+    /// the full predicate is still checked on each probed node.
+    pub fn pinned_values(&self) -> Option<Vec<&Value>> {
+        let print = self.print.as_ref().map(|value| vec![value]);
+        let predicate = self.predicate.as_ref().and_then(ValuePredicate::pinned);
+        match (print, predicate) {
+            (Some(print), Some(predicate)) => Some(intersect(print, predicate)),
+            (print, predicate) => print.or(predicate),
+        }
+    }
 }
 
 /// Payload of a pattern edge.

@@ -28,7 +28,7 @@
 
 use crate::error::{GoodError, Result};
 use crate::instance::Instance;
-use crate::matching::{extends_to_full, node_compatible, Matching};
+use crate::matching::{extends_to_full, node_compatible, pinned_candidates, Matching};
 use crate::pattern::{Pattern, PatternNodeKind};
 use good_graph::NodeId;
 use std::collections::BTreeMap;
@@ -194,9 +194,9 @@ impl<'a> Planner<'a> {
             let PatternNodeKind::Class(label) = &data.kind else {
                 continue;
             };
-            if data.print.is_some() {
-                // Exact printable value: one index probe.
-                root_est[node.index()] = 1.0;
+            if let Some(values) = data.pinned_values() {
+                // Pinned to k values: k printable-index probes.
+                root_est[node.index()] = values.len() as f64;
                 continue;
             }
             // Label extent, tightened by the distinct endpoint counts of
@@ -261,10 +261,11 @@ impl<'a> Planner<'a> {
             let width = self.root_est[node.index()];
             return (width, width);
         }
-        if data.print.is_some() {
-            // One probe, then every connecting edge filters the row.
+        if let Some(values) = data.pinned_values() {
+            // k probes, then every connecting edge filters each row.
+            let probes = values.len() as f64;
             let factor: f64 = connecting.iter().map(|edge| edge.sel).product();
-            return (1.0, factor);
+            return (probes, probes * factor);
         }
         // Enumerate along the lowest-fan connecting edge; every other
         // connecting edge closes onto an already-bound node and filters
@@ -476,16 +477,13 @@ pub fn find_matchings_binary(pattern: &Pattern, instance: &Instance) -> Result<V
         let PatternNodeKind::Class(label) = &data.kind else {
             return Vec::new();
         };
-        if let Some(value) = &data.print {
-            return match instance.find_printable(label, value) {
-                Some(found) => vec![found],
-                None => Vec::new(),
-            };
+        match pinned_candidates(instance, data) {
+            Some(pinned) => pinned,
+            None => instance.nodes_with_label(label).collect(),
         }
-        instance
-            .nodes_with_label(label)
-            .filter(|c| compatible(node, *c))
-            .collect()
+        .into_iter()
+        .filter(|c| compatible(node, *c))
+        .collect()
     };
 
     for edge in graph.edges() {
@@ -736,6 +734,40 @@ mod tests {
         // The exact-value probe is the cheapest anchor: est 1 row.
         assert_eq!(choice.order[0], name);
         assert!(choice.est_rows <= 1.5, "est_rows = {}", choice.est_rows);
+    }
+
+    #[test]
+    fn pinned_predicates_win_the_root() {
+        use crate::pattern::ValuePredicate as P;
+        use crate::value::Value;
+        let mut db = Instance::new(scheme());
+        for index in 0..50 {
+            let info = db.add_object("Info").unwrap();
+            let name = db.add_printable("String", format!("n{index}")).unwrap();
+            db.add_edge(info, "name", name).unwrap();
+        }
+        let n = |text: &str| Value::str(text);
+        for (predicate, probes) in [
+            // WHERE n = "n7"
+            (P::Eq(n("n7")), 1.0),
+            // WHERE n IN ["n7", "n9", "n7"]: duplicates probe once.
+            (P::OneOf(vec![n("n7"), n("n9"), n("n7")]), 2.0),
+            // WHERE n = "n7" AND n STARTS WITH "n"
+            (P::All(vec![P::Eq(n("n7")), P::StartsWith("n".into())]), 1.0),
+        ] {
+            let mut p = Pattern::new();
+            let info = p.node("Info");
+            let name = p.predicate_node("String", predicate);
+            p.edge(info, "name", name);
+            let choice = plan(&p, &db);
+            assert_eq!(choice.order[0], name);
+            assert_eq!(choice.steps[0].est_scanned, probes);
+            assert!(
+                choice.est_rows <= probes + 0.5,
+                "est_rows = {}",
+                choice.est_rows
+            );
+        }
     }
 
     #[test]

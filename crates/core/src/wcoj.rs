@@ -10,8 +10,10 @@
 //! each pattern node binds to the sorted intersection of **all** its
 //! candidate sets under the current partial assignment — every
 //! bound-neighbour posting list, the support sets of its still-unbound
-//! edges, and its printable/predicate constraints — so no partial
-//! assignment survives that violates any already-decidable edge.
+//! edges, and its printable/predicate constraints (a node pinned to
+//! finitely many values starts from their printable-index probes) —
+//! so no partial assignment survives that violates any
+//! already-decidable edge.
 //!
 //! The intersection is evaluated the classic way: materialize the
 //! smallest candidate set, then membership-probe the rest (postings
@@ -27,15 +29,10 @@
 use crate::error::{GoodError, Result};
 use crate::instance::Instance;
 use crate::label::Label;
-use crate::matching::{extends_to_full, node_compatible, Matching};
+use crate::matching::{extends_to_full, node_compatible, pinned_candidates, Matching, SCAN_LIMIT};
 use crate::pattern::{Pattern, PatternNodeKind};
 use crate::persist::PSet;
 use good_graph::NodeId;
-
-/// Bound-neighbour images with at most this many incident edges are
-/// scanned directly instead of probed through the adjacency index
-/// (mirrors the backtracking engine).
-const SCAN_LIMIT: usize = 8;
 
 /// One variable of the generic join: the pattern node plus its edges
 /// into earlier (already bound at candidate time) and later variables,
@@ -238,13 +235,10 @@ fn candidates(
         true
     };
 
-    // Exact printable value: a single probe is the whole base set.
-    if let Some(value) = &data.print {
-        if let Some(found) = instance.find_printable(label, value) {
-            if passes(found, None) {
-                out.push(found);
-            }
-        }
+    // Pinned values (print, `=`, `IN`): the printable-index probes are
+    // the whole base set.
+    if let Some(pinned) = pinned_candidates(instance, data) {
+        out.extend(pinned.into_iter().filter(|&c| passes(c, None)));
         return;
     }
 
