@@ -15,8 +15,9 @@
 use crate::error::Result;
 use crate::instance::Instance;
 use crate::label::{Label, RECEIVER_EDGE};
+use crate::matching::{find_matchings, find_matchings_touching};
 use crate::method::{Method, MethodCall, MethodSpec};
-use crate::ops::{EdgeAddition, OpReport};
+use crate::ops::{EdgeAddition, EdgeTriple, OpReport};
 use crate::pattern::Pattern;
 use crate::program::{Env, Operation};
 use crate::scheme::Scheme;
@@ -36,20 +37,53 @@ impl RecursiveEdgeAddition {
         RecursiveEdgeAddition { base }
     }
 
-    /// Iterate to fixpoint. Each round burns one unit of fuel, so a
+    /// Iterate to fixpoint: apply the underlying edge addition until a
+    /// round adds no edge. Each round burns one unit of fuel, so a
     /// (theoretically impossible for EA, but cheap to guard) runaway
     /// loop is caught by the environment.
+    ///
+    /// The rounds are delta-driven (semi-naive). Round 1 matches in
+    /// full; round r only finds the matchings that map at least one
+    /// positive pattern edge onto an edge added in round r − 1. That is
+    /// exact: edge additions only add edges, so the positive part only
+    /// gains matchings and the crossed part only loses them, and a
+    /// matching that avoids the delta already matched one round earlier
+    /// and has had its edges added. Rounds, added edges, the final
+    /// instance and errors are those of the naive loop; the report's
+    /// `matchings` counts the delta matchings the rounds examined.
     pub fn apply(&self, db: &mut Instance, env: &mut Env) -> Result<OpReport> {
+        self.apply_rounds(db, env, None)
+    }
+
+    /// [`RecursiveEdgeAddition::apply`], stopped after at most
+    /// `max_rounds` rounds when given. `Some(k)` has the effect of `k`
+    /// plain applications of the underlying edge addition in a row —
+    /// how GOODQL executes a bounded path's unrolled extension steps.
+    pub fn apply_rounds(
+        &self,
+        db: &mut Instance,
+        env: &mut Env,
+        max_rounds: Option<usize>,
+    ) -> Result<OpReport> {
         let mut total = OpReport::default();
-        loop {
+        let mut delta: Option<Vec<EdgeTriple>> = None;
+        for _ in 0..max_rounds.unwrap_or(usize::MAX) {
             env.burn_fuel()?;
-            let report = self.base.apply(db)?;
-            let progressed = report.edges_added > 0;
+            let matchings = match &delta {
+                None => {
+                    self.base.check_endpoints()?;
+                    find_matchings(&self.base.pattern, db)?
+                }
+                Some(delta) => find_matchings_touching(&self.base.pattern, db, delta)?,
+            };
+            let (report, added) = self.base.commit(db, &matchings)?;
             total.absorb(&report);
-            if !progressed {
-                return Ok(total);
+            if added.is_empty() {
+                break;
             }
+            delta = Some(added);
         }
+        Ok(total)
     }
 }
 

@@ -28,6 +28,7 @@
 use crate::error::{GoodError, Result};
 use crate::instance::Instance;
 use crate::label::Label;
+use crate::ops::EdgeTriple;
 use crate::pattern::{Pattern, PatternNode, PatternNodeKind};
 use crate::persist::PSet;
 use crate::planner::{self, JoinStrategy};
@@ -252,6 +253,16 @@ struct Search<'a> {
     pattern: &'a Pattern,
     instance: &'a Instance,
     nodes: Vec<NodeId>,
+}
+
+/// Where a search starts: the pattern nodes bound before backtracking.
+/// A full search binds its root node to one candidate; a delta search
+/// ([`find_matchings_touching`]) binds both endpoints of one pattern
+/// edge to the endpoints of one new instance edge.
+#[derive(Debug, Clone, Copy)]
+struct Root {
+    first: (NodeId, NodeId),
+    second: Option<(NodeId, NodeId)>,
 }
 
 impl<'a> Search<'a> {
@@ -611,69 +622,103 @@ impl<'a> Search<'a> {
         true
     }
 
+    /// Bind `root`, search every completion of it, and unbind again.
+    fn solve_from(
+        &self,
+        root: Root,
+        frame: &mut Frame,
+        steps: &mut u64,
+        on_match: &mut impl FnMut(&Frame) -> bool,
+    ) {
+        let (node, image) = root.first;
+        frame.bind(node, image);
+        if self.edges_consistent(node, frame) {
+            match root.second {
+                None => {
+                    self.solve(frame, steps, on_match);
+                }
+                Some((second, second_image)) => {
+                    frame.bind(second, second_image);
+                    if self.edges_consistent(second, frame) {
+                        self.solve(frame, steps, on_match);
+                    }
+                    frame.unbind(second);
+                }
+            }
+        }
+        frame.unbind(node);
+    }
+
     /// Enumerate every matching of this search's (positive) pattern,
     /// unsorted. The root node — the cost-based planner's choice when
     /// `root_override` is given, the most-constrained node otherwise —
-    /// seeds the search; splits its candidate list into morsels claimed
-    /// by worker threads via an atomic cursor when the list is large
-    /// enough; the caller's canonical sort makes the merged result
-    /// independent of scheduling.
+    /// seeds the search with one [`Root`] per candidate.
     fn enumerate(&self, config: MatchConfig, root_override: Option<NodeId>) -> Vec<Matching> {
-        let threads = config.resolved_threads();
         if self.nodes.is_empty() {
             // The empty pattern has exactly one (empty) matching.
             return vec![self.to_matching(&self.frame())];
         }
         let empty = self.frame();
-        let (root, root_candidates) = {
+        let roots: Vec<Root> = {
             let mut plan_span = good_trace::span("match", "match/plan");
             let root = root_override
                 .filter(|n| self.nodes.contains(n))
                 .unwrap_or_else(|| self.most_constrained(&empty).expect("non-empty pattern"));
             let root_candidates = self.candidates(root, &empty);
             plan_span.arg("root_candidates", root_candidates.len());
-            (root, root_candidates)
+            root_candidates
+                .into_iter()
+                .map(|candidate| Root {
+                    first: (root, candidate),
+                    second: None,
+                })
+                .collect()
         };
-        if threads <= 1 || root_candidates.len() < config.parallel_threshold {
+        self.drive(config, &roots)
+    }
+
+    /// Search every completion of every root, unsorted: sequentially,
+    /// or — when the root list is large enough — split into morsels
+    /// claimed by worker threads via an atomic cursor. The caller's
+    /// canonical sort makes the merged result independent of
+    /// scheduling.
+    fn drive(&self, config: MatchConfig, roots: &[Root]) -> Vec<Matching> {
+        let threads = config.resolved_threads();
+        if threads <= 1 || roots.len() < config.parallel_threshold {
             let mut roots_span = good_trace::span("match", "match/roots");
             let mut steps = 0u64;
             let mut results = Vec::new();
             let mut frame = self.frame();
-            for &candidate in &root_candidates {
-                frame.bind(root, candidate);
-                if self.edges_consistent(root, &frame) {
-                    self.solve(&mut frame, &mut steps, &mut |complete| {
-                        results.push(self.to_matching(complete));
-                        true
-                    });
-                }
-                frame.unbind(root);
+            for &root in roots {
+                self.solve_from(root, &mut frame, &mut steps, &mut |complete| {
+                    results.push(self.to_matching(complete));
+                    true
+                });
             }
-            roots_span.arg("roots", root_candidates.len());
+            roots_span.arg("roots", roots.len());
             roots_span.arg("matchings", results.len());
             roots_span.arg("steps", steps);
             return results;
         }
         // Morsel-driven: workers claim contiguous chunks of the root
-        // candidate list with a fetch_add cursor, so fast morsels steal
-        // the slack left by slow ones.
-        let morsel = (root_candidates.len() / (threads * 8)).clamp(1, 1024);
+        // list with a fetch_add cursor, so fast morsels steal the slack
+        // left by slow ones.
+        let morsel = (roots.len() / (threads * 8)).clamp(1, 1024);
         let cursor = AtomicUsize::new(0);
         let mut merged: Vec<Matching> = Vec::new();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
                     let cursor = &cursor;
-                    let root_candidates = &root_candidates;
                     scope.spawn(move || {
                         let mut local = Vec::new();
                         let mut frame = self.frame();
                         loop {
                             let start = cursor.fetch_add(morsel, Ordering::Relaxed);
-                            if start >= root_candidates.len() {
+                            if start >= roots.len() {
                                 break;
                             }
-                            let end = (start + morsel).min(root_candidates.len());
+                            let end = (start + morsel).min(roots.len());
                             // Morsel spans are worker-thread roots. Their
                             // args (chunk bounds, matchings, steps) are
                             // deterministic even though worker assignment
@@ -682,15 +727,11 @@ impl<'a> Search<'a> {
                             let mut morsel_span = good_trace::span("match", "match/morsel");
                             let mut steps = 0u64;
                             let before = local.len();
-                            for &candidate in &root_candidates[start..end] {
-                                frame.bind(root, candidate);
-                                if self.edges_consistent(root, &frame) {
-                                    self.solve(&mut frame, &mut steps, &mut |complete| {
-                                        local.push(self.to_matching(complete));
-                                        true
-                                    });
-                                }
-                                frame.unbind(root);
+                            for &root in &roots[start..end] {
+                                self.solve_from(root, &mut frame, &mut steps, &mut |complete| {
+                                    local.push(self.to_matching(complete));
+                                    true
+                                });
                             }
                             morsel_span.arg("start", start);
                             morsel_span.arg("len", end - start);
@@ -786,13 +827,7 @@ pub fn find_matchings_with(
     instance: &Instance,
     config: MatchConfig,
 ) -> Result<Vec<Matching>> {
-    if pattern.has_method_head() {
-        return Err(GoodError::InvalidPattern(
-            "patterns with method-head nodes must be rewritten by a method call before matching"
-                .into(),
-        ));
-    }
-    pattern.validate(instance.scheme())?;
+    check_matchable(pattern, instance)?;
 
     let mut find_span = good_trace::span("match", "match/find");
     let started = find_span.is_live().then(std::time::Instant::now);
@@ -819,13 +854,7 @@ pub fn find_matchings_with(
             search.enumerate(config, choice.order.first().copied())
         }
     };
-    results.sort();
-    results.dedup();
-
-    let positive_results = results.len();
-    if pattern.has_negation() {
-        results.retain(|m| !extends_to_full(pattern, instance, m));
-    }
+    let positive_results = canonicalize(pattern, instance, &mut results);
     if find_span.is_live() {
         find_span.arg("pattern_nodes", pattern_nodes);
         find_span.arg("matchings", results.len());
@@ -841,6 +870,79 @@ pub fn find_matchings_with(
             good_trace::observe_ns("match.find_ns", t0.elapsed().as_nanos() as u64);
         }
     }
+    Ok(results)
+}
+
+/// Patterns the matcher accepts: no method head (a method call rewrites
+/// it first), and valid against the instance's scheme.
+fn check_matchable(pattern: &Pattern, instance: &Instance) -> Result<()> {
+    if pattern.has_method_head() {
+        return Err(GoodError::InvalidPattern(
+            "patterns with method-head nodes must be rewritten by a method call before matching"
+                .into(),
+        ));
+    }
+    pattern.validate(instance.scheme())
+}
+
+/// Canonical order and set semantics over the positive-part matchings,
+/// then the crossed-part filter. Returns the positive-part count.
+fn canonicalize(pattern: &Pattern, instance: &Instance, results: &mut Vec<Matching>) -> usize {
+    results.sort();
+    results.dedup();
+    let positive = results.len();
+    if pattern.has_negation() {
+        results.retain(|m| !extends_to_full(pattern, instance, m));
+    }
+    positive
+}
+
+/// The matchings of `pattern` that map at least one positive pattern
+/// edge onto an edge of `delta`, in canonical order — one delta round of
+/// a repeated edge addition (see [`crate::macros::recursion`]).
+///
+/// Each root binds both endpoints of one positive pattern edge to the
+/// endpoints of one `delta` edge with the same label; the ordinary
+/// search completes it. A matching that touches the delta more than
+/// once is found once per touch and deduplicated by the canonical sort.
+/// Crossed parts are filtered exactly as in [`find_matchings`].
+pub(crate) fn find_matchings_touching(
+    pattern: &Pattern,
+    instance: &Instance,
+    delta: &[EdgeTriple],
+) -> Result<Vec<Matching>> {
+    check_matchable(pattern, instance)?;
+    let mut delta_span = good_trace::span("match", "match/delta");
+    let positive = pattern.positive_part();
+    let graph = positive.graph();
+    let mut roots = Vec::new();
+    for edge in graph.edges() {
+        let src_node = graph.node(edge.src).expect("live pattern node");
+        let dst_node = graph.node(edge.dst).expect("live pattern node");
+        for (src, _, dst) in delta.iter().filter(|(_, l, _)| *l == edge.payload.label) {
+            let self_loop = edge.src == edge.dst;
+            if (self_loop && src != dst)
+                || !node_compatible(instance, src_node, *src)
+                || !node_compatible(instance, dst_node, *dst)
+            {
+                continue;
+            }
+            roots.push(Root {
+                first: (edge.src, *src),
+                second: (!self_loop).then_some((edge.dst, *dst)),
+            });
+        }
+    }
+    let search = Search {
+        pattern: &positive,
+        instance,
+        nodes: graph.node_ids().collect(),
+    };
+    let mut results = search.drive(MatchConfig::default(), &roots);
+    canonicalize(pattern, instance, &mut results);
+    delta_span.arg("delta", delta.len());
+    delta_span.arg("roots", roots.len());
+    delta_span.arg("matchings", results.len());
     Ok(results)
 }
 

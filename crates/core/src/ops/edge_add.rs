@@ -14,15 +14,15 @@
 use crate::error::{GoodError, Result};
 use crate::instance::Instance;
 use crate::label::{EdgeKind, Label};
-use crate::matching::find_matchings;
-use crate::ops::OpReport;
+use crate::matching::{find_matchings, Matching};
+use crate::ops::{EdgeTriple, OpReport};
 use crate::pattern::Pattern;
 use good_graph::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One bold edge of an edge addition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EdgeToAdd {
     /// Source pattern node.
     pub src: NodeId,
@@ -37,7 +37,7 @@ pub struct EdgeToAdd {
 }
 
 /// An edge addition operation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EdgeAddition {
     /// The source pattern `J`.
     pub pattern: Pattern,
@@ -90,7 +90,14 @@ impl EdgeAddition {
     /// extended, which is harmless and matches the paper: `S′` depends
     /// only on the operation).
     pub fn apply(&self, db: &mut Instance) -> Result<OpReport> {
-        // Validate bold endpoints.
+        self.check_endpoints()?;
+        let matchings = find_matchings(&self.pattern, db)?;
+        Ok(self.commit(db, &matchings)?.0)
+    }
+
+    /// Every bold edge must join two positive class nodes of the
+    /// pattern.
+    pub(crate) fn check_endpoints(&self) -> Result<()> {
         for edge in &self.edges {
             for node in [edge.src, edge.dst] {
                 let positive = self
@@ -104,9 +111,19 @@ impl EdgeAddition {
                 }
             }
         }
+        Ok(())
+    }
 
-        let matchings = find_matchings(&self.pattern, db)?;
-
+    /// The commit phase of [`EdgeAddition::apply`] for already-found
+    /// `matchings`: extend the scheme minimally, check the paper's
+    /// "undefined result" conditions, then add the edges. Returns the
+    /// report and the edges actually added (those not already present),
+    /// in canonical order. On error the instance graph is unchanged.
+    pub(crate) fn commit(
+        &self,
+        db: &mut Instance,
+        matchings: &[Matching],
+    ) -> Result<(OpReport, Vec<EdgeTriple>)> {
         // Minimal scheme extension.
         for edge in &self.edges {
             if let Some(registered) = db.scheme().edge_kind(&edge.label) {
@@ -135,26 +152,34 @@ impl EdgeAddition {
                 .add_triple(src_label, edge.label.clone(), dst_label)?;
         }
 
-        // Gather the concrete edges (a set: duplicates collapse).
-        let mut to_add: BTreeSet<(NodeId, Label, NodeId)> = BTreeSet::new();
-        for matching in &matchings {
+        // The concrete new edges (a set: duplicates collapse; edges
+        // already present add nothing).
+        let mut to_add: BTreeSet<EdgeTriple> = BTreeSet::new();
+        for matching in matchings {
             for edge in &self.edges {
-                to_add.insert((
-                    matching.image(edge.src),
-                    edge.label.clone(),
-                    matching.image(edge.dst),
-                ));
+                let (src, dst) = (matching.image(edge.src), matching.image(edge.dst));
+                if !db.has_edge(src, &edge.label, dst) {
+                    to_add.insert((src, edge.label.clone(), dst));
+                }
             }
         }
 
         // Pre-mutation consistency check (the "result is undefined"
-        // conditions), against existing ∪ new edges.
+        // conditions), against existing ∪ new edges. `Instance::add_edge`
+        // keeps every λ-target of a source on one label (and at most one
+        // target for a functional λ), so one existing target stands for
+        // all of them: the check costs O(new edges), not O(degree).
         let mut grouped: BTreeMap<(NodeId, &Label), BTreeSet<NodeId>> = BTreeMap::new();
         for (src, label, dst) in &to_add {
             grouped.entry((*src, label)).or_default().insert(*dst);
         }
         for ((src, label), mut targets) in grouped {
-            targets.extend(db.targets(src, label));
+            if let Some(existing) = db.targets(src, label).next() {
+                debug_assert!(db
+                    .targets(src, label)
+                    .all(|t| db.node_label(t) == db.node_label(existing)));
+                targets.insert(existing);
+            }
             let kind = db.scheme().edge_kind(label).expect("registered above");
             if kind == EdgeKind::Functional && targets.len() > 1 {
                 return Err(GoodError::FunctionalConflict {
@@ -176,18 +201,17 @@ impl EdgeAddition {
             }
         }
 
-        let mut report = OpReport {
-            matchings: matchings.len(),
-            ..OpReport::default()
-        };
-        for (src, label, dst) in to_add {
-            if !db.has_edge(src, &label, dst) {
-                db.add_edge(src, label, dst)?;
-                report.edges_added += 1;
-            }
+        let added: Vec<EdgeTriple> = to_add.into_iter().collect();
+        for (src, label, dst) in &added {
+            db.add_edge(*src, label.clone(), *dst)?;
         }
         db.debug_assert_indexes();
-        Ok(report)
+        let report = OpReport {
+            matchings: matchings.len(),
+            edges_added: added.len(),
+            ..OpReport::default()
+        };
+        Ok((report, added))
     }
 }
 
@@ -396,6 +420,52 @@ mod tests {
             ea.apply(&mut db),
             Err(GoodError::NodeNotInPattern(_))
         ));
+    }
+
+    #[test]
+    fn late_conflict_with_existing_target_leaves_instance_untouched() {
+        // Three infos get a `created` date; only the last-created one
+        // already has a different one, so its conflict comes after two
+        // conflict-free edges in commit order.
+        let mut db = Instance::new(scheme());
+        let infos: Vec<NodeId> = (0..3).map(|_| db.add_object("Info").unwrap()).collect();
+        let old = db.add_printable("Date", Value::date(1990, 1, 12)).unwrap();
+        db.add_printable("Date", Value::date(1990, 1, 14)).unwrap();
+        db.add_edge(infos[2], "created", old).unwrap();
+        let mut p = Pattern::new();
+        let info = p.node("Info");
+        let date = p.printable("Date", Value::date(1990, 1, 14));
+        let ea = EdgeAddition::functional(p, info, "created", date);
+        let edges = db.edge_count();
+        assert!(matches!(
+            ea.apply(&mut db),
+            Err(GoodError::FunctionalConflict { .. })
+        ));
+        assert_eq!(db.edge_count(), edges);
+
+        // Multivalued: one existing target of another label is enough
+        // to reject a new target.
+        let mut db = Instance::new(scheme());
+        let info = db.add_object("Info").unwrap();
+        db.add_object("Data").unwrap();
+        let mut p = Pattern::new();
+        let x = p.node("Info");
+        EdgeAddition::multivalued(p, x, "refs", x)
+            .apply(&mut db)
+            .unwrap();
+        let mut p = Pattern::new();
+        let x = p.node("Info");
+        let d = p.node("Data");
+        let ea = EdgeAddition::multivalued(p, x, "refs", d);
+        let edges = db.edge_count();
+        let err = ea.apply(&mut db).unwrap_err();
+        assert!(
+            matches!(&err, GoodError::TargetLabelConflict { existing, new, .. }
+                if existing.as_str() == "Data" && new.as_str() == "Info"),
+            "{err:?}"
+        );
+        assert_eq!(db.edge_count(), edges);
+        assert!(db.has_edge(info, &"refs".into(), info));
     }
 
     #[test]

@@ -38,12 +38,21 @@ pub use edge_del::EdgeDeletion;
 pub use node_add::NodeAddition;
 pub use node_del::NodeDeletion;
 
+use crate::label::Label;
 use good_graph::NodeId;
+
+/// An instance edge as `(source, label, target)`: what an edge addition
+/// adds, and what a delta round of a repeated one matches against.
+pub(crate) type EdgeTriple = (NodeId, Label, NodeId);
 
 /// What an operation did, for reporting and tests.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpReport {
-    /// Number of matchings of the source pattern.
+    /// Number of matchings of the source pattern. For a starred edge
+    /// addition, the sum over its rounds of the matchings each round
+    /// examined: all of them in round 1, then only those touching the
+    /// previous round's new edges (see
+    /// [`RecursiveEdgeAddition::apply`](crate::macros::recursion::RecursiveEdgeAddition::apply)).
     pub matchings: usize,
     /// Nodes created by this application.
     pub created_nodes: Vec<NodeId>,

@@ -182,7 +182,7 @@ pub struct PatternEdge {
 /// assert_eq!(pattern.node_count(), 4);
 /// ```
 /// A pattern over a scheme.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Pattern {
     graph: Graph<PatternNode, PatternEdge>,
 }

@@ -135,6 +135,22 @@ impl<N, E> Default for Graph<N, E> {
     }
 }
 
+/// Structural equality by id: the same live nodes with equal payloads,
+/// and the same live edges with equal payloads and endpoints.
+impl<N: PartialEq, E: PartialEq> PartialEq for Graph<N, E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.node_count() == other.node_count()
+            && self.edge_count() == other.edge_count()
+            && self
+                .nodes()
+                .zip(other.nodes())
+                .all(|(a, b)| a.id == b.id && a.payload == b.payload)
+            && self.edges().zip(other.edges()).all(|(a, b)| {
+                a.id == b.id && a.src == b.src && a.dst == b.dst && a.payload == b.payload
+            })
+    }
+}
+
 impl<N, E> Graph<N, E> {
     /// Create an empty graph.
     pub fn new() -> Self {

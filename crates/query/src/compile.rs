@@ -550,34 +550,33 @@ impl CompiledQuery {
         (pattern, nodes)
     }
 
-    /// The compiled path-derivation program: the GOOD operations (edge
-    /// additions plus starred edge additions) that materialize each
-    /// derived path label into a scratch instance.
-    pub fn core_steps(&self) -> Vec<Step> {
+    /// Lower every property path once: the path-derivation program (the
+    /// GOOD operations — edge additions plus starred edge additions —
+    /// that materialize each derived path label into a scratch
+    /// instance), paired with every derived label it mints as
+    /// `(class, label)`: the scratch scheme needs the multivalued triple
+    /// `class -label-> class`. Execution engines pre-register these so a
+    /// derivation that happens to add zero edges (empty seed) still
+    /// leaves the match pattern valid.
+    pub fn lower(&self) -> (Vec<Step>, Vec<(Label, Label)>) {
         let mut steps = Vec::new();
-        let mut labels = BTreeSet::new();
+        let mut triples = Vec::new();
         for path in &self.paths {
-            path_steps(path, &mut steps, &mut labels);
-        }
-        steps
-    }
-
-    /// Every derived edge label the compiled program mints, paired with
-    /// its class: `(class, label)` means the scratch scheme needs the
-    /// multivalued triple `class -label-> class`. Execution engines
-    /// pre-register these so a derivation that happens to add zero
-    /// edges (empty seed) still leaves the match pattern valid.
-    pub fn derived_triples(&self) -> Vec<(Label, Label)> {
-        let mut out = Vec::new();
-        for path in &self.paths {
-            let mut steps = Vec::new();
             let mut labels = BTreeSet::new();
             path_steps(path, &mut steps, &mut labels);
-            for label in labels {
-                out.push((path.class.clone(), label));
-            }
+            triples.extend(labels.into_iter().map(|label| (path.class.clone(), label)));
         }
-        out
+        (steps, triples)
+    }
+
+    /// The path-derivation program of [`CompiledQuery::lower`].
+    pub fn core_steps(&self) -> Vec<Step> {
+        self.lower().0
+    }
+
+    /// The derived `(class, label)` triples of [`CompiledQuery::lower`].
+    pub fn derived_triples(&self) -> Vec<(Label, Label)> {
+        self.lower().1
     }
 
     /// Render the compiled program — derivation steps plus the final
@@ -605,8 +604,6 @@ impl CompiledQuery {
             }
         }
         let (pattern, nodes) = self.pattern(true);
-        let by_node: BTreeMap<NodeId, &String> =
-            nodes.iter().map(|(var, node)| (*node, var)).collect();
         out.push_str("match J where J =\n");
         out.push_str(&format_pattern(&pattern));
         out.push_str("variables:");
@@ -614,7 +611,6 @@ impl CompiledQuery {
             write!(out, " {var}={:?}", nodes[var]).expect("write");
         }
         out.push('\n');
-        let _ = by_node;
         out
     }
 }

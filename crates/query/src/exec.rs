@@ -30,9 +30,10 @@ use crate::compile::{compile, CompiledQuery, PathDerivation, Step};
 use crate::parser::parse_query;
 use crate::QueryError;
 use good_core::instance::Instance;
+use good_core::macros::recursion::RecursiveEdgeAddition;
 use good_core::matching::{explain_plan_profiled, find_matchings_with, MatchConfig, Matching};
 use good_core::pattern::Pattern;
-use good_core::program::Env;
+use good_core::program::{Env, Operation};
 use good_graph::NodeId;
 use good_relational::backend::RelBackend;
 use good_tarski::{BinRel, TarskiBackend};
@@ -154,17 +155,40 @@ pub fn pinned_config() -> MatchConfig {
 // ---- core lane ------------------------------------------------------------
 
 /// Apply the compiled path-derivation program to a scratch clone.
+///
+/// A run of `k` identical consecutive edge additions — a bounded path's
+/// unrolled extension steps — executes as at most `k` delta-driven
+/// rounds of the recursion macro, which has the effect of applying the
+/// edge addition `k` times in a row.
 fn materialize_core(db: &Instance, compiled: &CompiledQuery) -> Result<Instance, QueryError> {
     let mut scratch = db.clone();
+    let (steps, triples) = compiled.lower();
     // Pre-register every derived label: a derivation whose seed matches
     // nothing never reaches the minimal scheme extension, but the match
     // pattern still references the label.
-    for (class, label) in compiled.derived_triples() {
+    for (class, label) in triples {
         scratch.extend_multivalued(class.clone(), label, class)?;
     }
     let mut env = Env::new();
-    for step in compiled.core_steps() {
+    let mut rest = steps.as_slice();
+    while let Some(step) = rest.first() {
+        let run = match step {
+            Step::Op(Operation::EdgeAdd(ea)) => rest
+                .iter()
+                .take_while(
+                    |next| matches!(next, Step::Op(Operation::EdgeAdd(other)) if other == ea),
+                )
+                .count(),
+            _ => 1,
+        };
         match step {
+            Step::Op(Operation::EdgeAdd(ea)) if run > 1 => {
+                RecursiveEdgeAddition::new(ea.clone()).apply_rounds(
+                    &mut scratch,
+                    &mut env,
+                    Some(run),
+                )?;
+            }
             Step::Op(op) => {
                 op.apply(&mut scratch, &mut env)?;
             }
@@ -172,6 +196,7 @@ fn materialize_core(db: &Instance, compiled: &CompiledQuery) -> Result<Instance,
                 star.apply(&mut scratch, &mut env)?;
             }
         }
+        rest = &rest[run..];
     }
     Ok(scratch)
 }
